@@ -233,7 +233,7 @@ def precompute_front_end(
     hists = FoldedHistorySet(
         640, 64, tage_idx + tuple(extra_idx_pairs), tage_tag + tuple(extra_tag_pairs)
     )
-    btb = BranchTargetBuffer(table_backend="python")
+    btb = BranchTargetBuffer()
     source = trace.uops
     states: list[FoldedHistoryState] = []
     uops: list[tuple] = []

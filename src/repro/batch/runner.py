@@ -19,12 +19,8 @@ tiebreak).  ``tests/test_batch_parity.py`` proves SimStats bit-identity
 against the serial path; treat any edit here that is not paired with a
 parity run as wrong.
 
-Table state arrives as plain-python column lists — per-variant views of
-variant-stacked ``TableBank`` storage (``make_bank(..., variants=N)``)
-built by :mod:`repro.batch.dispatch`.  The walk pins the python backend
-for its internal state regardless of ``REPRO_TABLE_BACKEND``: backends
-are bit-identical by contract and JobSpec digests exclude the backend,
-so results remain valid for either cache cell.
+Table state arrives as the plain column lists of one variant's own
+``TableBank`` storage, built by :mod:`repro.batch.dispatch`.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from repro.common.errors import (
     require_positive,
     require_power_of_two,
 )
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.predictors.base import (
     HistoryState,
     table_index,
@@ -129,9 +129,9 @@ def dvtage_bank_fields(
     """(lvt, vt0, tagged) field declarations for an ``npred``-wide D-VTAGE.
 
     The single source of truth for the predictor's bank layout — the
-    batched sweep engine allocates variant-stacked banks from the same
-    declarations so per-variant views are indistinguishable from the
-    banks a scalar predictor would build.
+    batched sweep engine allocates each variant's banks from the same
+    declarations, so they are indistinguishable from the banks a scalar
+    predictor would build.
     """
     lvt = (
         Field("tag", default=-1),
@@ -162,8 +162,6 @@ class BlockDVTAGE:
         config: BlockDVTAGEConfig | None = None,
         fpc: FPCPolicy | None = None,
         seed: int = 0xBEB0,
-        table_backend: str | None = None,
-        banks=None,
     ) -> None:
         self.config = config if config is not None else BlockDVTAGEConfig()
         c = self.config
@@ -175,32 +173,9 @@ class BlockDVTAGE:
             c.components, c.min_history, c.max_history
         )
         lvt_fields, vt0_fields, tagged_fields = dvtage_bank_fields(c.npred)
-        if banks is not None:
-            # Caller-provided storage (e.g. per-variant views of a
-            # variant-stacked bank from batch_stack); shapes must match
-            # what this config would have allocated.
-            self._lvt, self._vt0, self._tagged = banks
-            if (
-                self._lvt.entries != c.base_entries
-                or self._vt0.entries != c.base_entries
-                or self._tagged.entries != c.components * c.tagged_entries
-            ):
-                raise ValueError(
-                    "injected banks do not match the predictor geometry"
-                )
-        else:
-            self._lvt = make_bank(
-                c.base_entries, lvt_fields, backend=table_backend
-            )
-            self._vt0 = make_bank(
-                c.base_entries, vt0_fields, backend=table_backend
-            )
-            self._tagged = make_bank(
-                c.components * c.tagged_entries,
-                tagged_fields,
-                backend=table_backend,
-            )
-        self.table_backend = self._lvt.backend
+        self._lvt = TableBank(c.base_entries, lvt_fields)
+        self._vt0 = TableBank(c.base_entries, vt0_fields)
+        self._tagged = TableBank(c.components * c.tagged_entries, tagged_fields)
         self._l_tag = self._lvt.col("tag")
         self._l_last = self._lvt.col("last")
         self._v_strides = self._vt0.col("strides")
@@ -370,7 +345,7 @@ class BlockDVTAGE:
             if slot is None:
                 continue  # more results than prediction slots: coverage lost
             slot_actuals[slot] = actual
-            prev_last = int(l_last[lvt_base + slot])
+            prev_last = l_last[lvt_base + slot]
             observed[slot] = self._truncate(actual - prev_last)
             predicted = readout.values[slot] if readout.values else None
             correct = (not fresh) and predicted is not None and predicted == actual
@@ -388,7 +363,7 @@ class BlockDVTAGE:
             if provider_live and slot not in retagged:
                 if correct:
                     p_conf[p_base + slot] = self.fpc.advance(
-                        int(p_conf[p_base + slot])
+                        p_conf[p_base + slot]
                     )
                 else:
                     p_conf[p_base + slot] = self.fpc.reset_level()
@@ -500,96 +475,6 @@ class BlockDVTAGE:
                 "gen": self._current_useful_gen,
             },
         )
-
-    # -- batched sweeps -------------------------------------------------------
-
-    @classmethod
-    def batch_stack(
-        cls,
-        configs,
-        seed: int = 0xBEB0,
-        table_backend: str | None = None,
-    ):
-        """N predictors over variant-stacked banks, one stack per bank.
-
-        Every config must share the bank shapes (npred, base_entries,
-        tagged_entries, components) so the variants can stack; other
-        knobs (confidence propagation, tag monotonicity, histories) may
-        differ freely.  Each predictor gets its own RNG/FPC streams —
-        exactly what N independently constructed predictors would have —
-        and a per-variant ``view`` of the shared stacks, so scalar
-        ``read``/``update`` code mutates stacked storage in place.
-
-        Returns ``(predictors, (lvt, vt0, tagged))`` with the stacked
-        banks exposed for vector expressions over ``col()`` and for
-        telemetry.
-        """
-        configs = [
-            c if c is not None else BlockDVTAGEConfig() for c in configs
-        ]
-        if not configs:
-            raise ValueError("batch_stack needs at least one config")
-        c0 = configs[0]
-        shape = (c0.npred, c0.base_entries, c0.tagged_entries, c0.components)
-        for c in configs[1:]:
-            if (c.npred, c.base_entries, c.tagged_entries,
-                    c.components) != shape:
-                raise ValueError(
-                    "configs with different bank shapes cannot share a "
-                    f"stack: {shape} != "
-                    f"{(c.npred, c.base_entries, c.tagged_entries, c.components)}"
-                )
-        lvt_fields, vt0_fields, tagged_fields = dvtage_bank_fields(c0.npred)
-        n = len(configs)
-        lvt = make_bank(
-            c0.base_entries, lvt_fields, backend=table_backend, variants=n
-        )
-        vt0 = make_bank(
-            c0.base_entries, vt0_fields, backend=table_backend, variants=n
-        )
-        tagged = make_bank(
-            c0.components * c0.tagged_entries,
-            tagged_fields,
-            backend=table_backend,
-            variants=n,
-        )
-        predictors = [
-            cls(
-                config=c,
-                seed=seed,
-                banks=(lvt.view(v), vt0.view(v), tagged.view(v)),
-            )
-            for v, c in enumerate(configs)
-        ]
-        return predictors, (lvt, vt0, tagged)
-
-    @staticmethod
-    def batch_step(
-        predictors,
-        block_pc: int,
-        hists,
-        retired,
-    ) -> list[tuple[BlockReadout, dict[int, int]]]:
-        """One fetch read + compose + retire update across every variant.
-
-        ``hists`` holds the per-variant :class:`HistoryState` (histories
-        may diverge across variants once predictions alter branch
-        resolution timing); ``retired`` the shared
-        ``(boundary, actual)`` list.  This loop-of-views walk over
-        :meth:`batch_stack` predictors is the authoritative batched
-        reference for D-VTAGE — the fused walk in
-        :mod:`repro.batch.runner` is the performance path and is held
-        bit-identical to the scalar engine by the parity suite.
-
-        Returns ``(readout, slot_actuals)`` per variant, predictions
-        composed against the committed LVT last values.
-        """
-        out = []
-        for v, pred in enumerate(predictors):
-            readout = pred.read(block_pc, hists[v])
-            pred.compose(readout, readout.lvt_last)
-            out.append((readout, pred.update(readout, retired)))
-        return out
 
     def storage_bits(self) -> int:
         """Bit-exact Table III accounting (without the speculative window —

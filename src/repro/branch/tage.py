@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.common.bits import mask
 from repro.common.rng import XorShift64
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
 from repro.predictors.base import HistoryState, tagged_index, tagged_tag
 from repro.predictors.vtage import geometric_history_lengths
@@ -76,7 +76,6 @@ class TAGEBranchPredictor:
         max_history: int = 640,
         useful_reset_period: int = 262144,
         seed: int = 0x7A63,
-        table_backend: str | None = None,
     ) -> None:
         self.bimodal_entries = bimodal_entries
         self.tagged_entries = tagged_entries
@@ -96,13 +95,8 @@ class TAGEBranchPredictor:
         self.history_lengths = geometric_history_lengths(
             components, min_history, max_history
         )
-        self._bimodal = make_bank(
-            bimodal_entries, BIMODAL_FIELDS, backend=table_backend
-        )
-        self._tagged = make_bank(
-            components * tagged_entries, TAGGED_FIELDS, backend=table_backend
-        )
-        self.table_backend = self._bimodal.backend
+        self._bimodal = TableBank(bimodal_entries, BIMODAL_FIELDS)
+        self._tagged = TableBank(components * tagged_entries, TAGGED_FIELDS)
         self._b_ctr = self._bimodal.col("ctr")
         self._t_tag = self._tagged.col("tag")
         self._t_ctr = self._tagged.col("ctr")
@@ -151,7 +145,7 @@ class TAGEBranchPredictor:
             meta = _BranchMeta(0, 0, 0, base_taken, False)
             return base_taken, meta
         comp, index, tag = hits[-1]
-        ctr = int(self._t_ctr[index])
+        ctr = self._t_ctr[index]
         taken = ctr >= 4
         weak = ctr in (3, 4)
         if len(hits) > 1:
@@ -174,7 +168,7 @@ class TAGEBranchPredictor:
         """Update with the resolved direction (meta from the predict call)."""
         if meta.provider == 0:
             index = self._bimodal_index(pc)
-            ctr = int(self._b_ctr[index])
+            ctr = self._b_ctr[index]
             self._b_ctr[index] = min(3, ctr + 1) if taken else max(0, ctr - 1)
             provider_taken = meta.alt_taken
             provider_correct = provider_taken == taken
@@ -184,7 +178,7 @@ class TAGEBranchPredictor:
             return
         index = meta.index
         if self._t_tag[index] == meta.tag:
-            ctr = int(self._t_ctr[index])
+            ctr = self._t_ctr[index]
             provider_taken = ctr >= 4
             provider_correct = provider_taken == taken
             self._t_ctr[index] = min(7, ctr + 1) if taken else max(0, ctr - 1)
@@ -192,9 +186,9 @@ class TAGEBranchPredictor:
                 self._t_useful[index] = 0
                 self._t_ugen[index] = self._useful_gen
             if provider_correct and meta.alt_taken != provider_taken:
-                self._t_useful[index] = min(3, int(self._t_useful[index]) + 1)
+                self._t_useful[index] = min(3, self._t_useful[index] + 1)
             elif not provider_correct:
-                self._t_useful[index] = max(0, int(self._t_useful[index]) - 1)
+                self._t_useful[index] = max(0, self._t_useful[index] - 1)
             if meta.provider_weak and meta.alt_taken != provider_taken:
                 # Track whether trusting the alternate over weak providers
                 # pays off.
@@ -224,7 +218,7 @@ class TAGEBranchPredictor:
         if not candidates:
             # Every slot was normalized to the current generation above.
             for _comp, index, _ in slots:
-                self._t_useful[index] = max(0, int(self._t_useful[index]) - 1)
+                self._t_useful[index] = max(0, self._t_useful[index] - 1)
             return
         # Bias allocation toward shorter histories (classic TAGE heuristic):
         # pick the first candidate with probability 1/2, else uniformly.

@@ -388,7 +388,15 @@ class DistCoordinator:
         self._connections[task] = writer
         try:
             while not self._closing:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except protocol.ProtocolError as exc:
+                    # A malformed head leaves the stream unframed:
+                    # answer, then close.
+                    await self._send_json(writer, exc.status,
+                                          protocol.encode_error(exc.status,
+                                                                str(exc)))
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -408,24 +416,19 @@ class DistCoordinator:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+        line = await protocol.read_head_line(reader)
         if not line:
             return None
-        try:
-            method, path, _version = line.decode("ascii").split()
-        except ValueError:
-            return None
+        method, path = protocol.parse_request_line(line)
         headers: dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await protocol.read_head_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             key, _, value = raw.decode("latin-1").partition(":")
             if len(headers) < 100:
                 headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length > protocol.MAX_BODY_BYTES:
-            return method, path, headers, b"\x00" * (protocol.MAX_BODY_BYTES + 1)
+        length = protocol.parse_content_length(headers)
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

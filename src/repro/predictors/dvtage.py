@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.common.bits import mask, to_signed, to_unsigned
 from repro.common.rng import XorShift64
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
 from repro.predictors.base import (
     HistoryState,
@@ -112,7 +112,6 @@ class DVTAGEPredictor(ValuePredictor):
         useful_reset_period: int = 8192,
         propagate_confidence: bool = False,
         seed: int = 0xD7A6E,
-        table_backend: str | None = None,
     ) -> None:
         self.base_entries = base_entries
         self.tagged_entries = tagged_entries
@@ -136,12 +135,9 @@ class DVTAGEPredictor(ValuePredictor):
         )
         self.fpc = fpc if fpc is not None else FPCPolicy()
         self.propagate_confidence = propagate_confidence
-        self._lvt = make_bank(base_entries, LVT_FIELDS, backend=table_backend)
-        self._vt0 = make_bank(base_entries, VT0_FIELDS, backend=table_backend)
-        self._tagged = make_bank(
-            components * tagged_entries, TAGGED_FIELDS, backend=table_backend
-        )
-        self.table_backend = self._lvt.backend
+        self._lvt = TableBank(base_entries, LVT_FIELDS)
+        self._vt0 = TableBank(base_entries, VT0_FIELDS)
+        self._tagged = TableBank(components * tagged_entries, TAGGED_FIELDS)
         # Hot-path column references (stable identity for the bank's life).
         self._l_tag = self._lvt.col("tag")
         self._l_valid = self._lvt.col("valid")
@@ -208,18 +204,18 @@ class DVTAGEPredictor(ValuePredictor):
             comp, index, tag = hits[-1]
             if len(hits) > 1:
                 _alt_comp, alt_index, _ = hits[-2]
-                alt_stride = int(self._t_stride[alt_index])
+                alt_stride = self._t_stride[alt_index]
             else:
                 alt_stride = int(
                     self._v_stride[table_index(key, self.base_index_bits)]
                 )
             return (
                 comp + 1, index, tag,
-                int(self._t_stride[index]), int(self._t_conf[index]), alt_stride,
+                self._t_stride[index], self._t_conf[index], alt_stride,
             )
         index = table_index(key, self.base_index_bits)
-        stride = int(self._v_stride[index])
-        return 0, index, 0, stride, int(self._v_conf[index]), stride
+        stride = self._v_stride[index]
+        return 0, index, 0, stride, self._v_conf[index], stride
 
     def _stride_value(self, stored: int) -> int:
         """Sign-extend a stored (possibly partial) stride for the adder."""
@@ -256,8 +252,8 @@ class DVTAGEPredictor(ValuePredictor):
         # counting); the realistic chained-value alternative is the BeBoP
         # speculative window of repro.bebop.
         stride = self._stride_value(stored)
-        last = int(self._l_last[lvt_index])
-        value = to_unsigned(last + stride * int(self._l_inflight[lvt_index]), 64)
+        last = self._l_last[lvt_index]
+        value = to_unsigned(last + stride * self._l_inflight[lvt_index], 64)
         return Prediction(
             value,
             self.fpc.is_confident(conf),
@@ -295,14 +291,14 @@ class DVTAGEPredictor(ValuePredictor):
         meta: _TrainMeta = prediction.meta
         correct = prediction.value == actual
         observed_stride = to_unsigned(
-            to_signed(actual - int(self._l_last[lvt_index]), self.stride_bits),
+            to_signed(actual - self._l_last[lvt_index], self.stride_bits),
             self.stride_bits,
         )
 
         if meta.provider == 0:
             index = meta.index
             if correct:
-                self._v_conf[index] = self.fpc.advance(int(self._v_conf[index]))
+                self._v_conf[index] = self.fpc.advance(self._v_conf[index])
             else:
                 self._v_conf[index] = self.fpc.reset_level()
                 self._v_stride[index] = observed_stride
@@ -310,7 +306,7 @@ class DVTAGEPredictor(ValuePredictor):
             index = meta.index
             if self._t_tag[index] == meta.tag:
                 if correct:
-                    self._t_conf[index] = self.fpc.advance(int(self._t_conf[index]))
+                    self._t_conf[index] = self.fpc.advance(self._t_conf[index])
                     self._t_useful[index] = (
                         1 if meta.alt_stride != self._t_stride[index] else 0
                     )
@@ -371,7 +367,7 @@ class DVTAGEPredictor(ValuePredictor):
         """Logical usefulness of the tagged entry at flat ``index``: a
         stale generation reads as 0 (white-box test hook)."""
         if self._t_ugen[index] == self._useful_gen:
-            return int(self._t_useful[index])
+            return self._t_useful[index]
         return 0
 
     def squash(self, surviving: dict[tuple[int, int], int] | None = None) -> None:

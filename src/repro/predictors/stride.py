@@ -22,7 +22,7 @@ sign-extended (signed columns), last values pre-masked (unsigned column).
 from __future__ import annotations
 
 from repro.common.bits import mask, to_signed, to_unsigned
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
 from repro.predictors.base import (
     HistoryState,
@@ -55,7 +55,6 @@ class _BaseStride(ValuePredictor):
         tag_bits: int = 5,
         stride_bits: int = 64,
         fpc: FPCPolicy | None = None,
-        table_backend: str | None = None,
     ) -> None:
         self.entries = entries
         self.tag_bits = tag_bits
@@ -67,8 +66,7 @@ class _BaseStride(ValuePredictor):
             raise ConfigError(type(self).__name__, violations)
         self.index_bits = entries.bit_length() - 1
         self.fpc = fpc if fpc is not None else FPCPolicy()
-        self._table = make_bank(entries, TABLE_FIELDS, backend=table_backend)
-        self.table_backend = self._table.backend
+        self._table = TableBank(entries, TABLE_FIELDS)
         self._tag = self._table.col("tag")
         self._valid = self._table.col("valid")
         self._last = self._table.col("last")
@@ -92,7 +90,7 @@ class _BaseStride(ValuePredictor):
 
     def _predicting_stride(self, index: int) -> int:
         col = self._stride2 if self.two_delta else self._stride1
-        return int(col[index])
+        return col[index]
 
     def predict(
         self, pc: int, uop_index: int, hist: HistoryState
@@ -122,9 +120,9 @@ class _BaseStride(ValuePredictor):
         # speculative window models.
         stride = self._predicting_stride(index)
         value = to_unsigned(
-            int(self._last[index]) + stride * int(self._inflight[index]), 64
+            self._last[index] + stride * self._inflight[index], 64
         )
-        return Prediction(value, self.fpc.is_confident(int(self._conf[index])))
+        return Prediction(value, self.fpc.is_confident(self._conf[index]))
 
     def train(
         self,
@@ -147,7 +145,7 @@ class _BaseStride(ValuePredictor):
             if self._inflight[index] == 0:
                 self._spec_dirty.discard(index)
             return
-        observed = self._truncate_stride(actual - int(self._last[index]))
+        observed = self._truncate_stride(actual - self._last[index])
         if self.two_delta:
             if observed == self._stride1[index]:
                 self._stride2[index] = observed
@@ -156,158 +154,13 @@ class _BaseStride(ValuePredictor):
             self._stride1[index] = observed
         correct = prediction is not None and prediction.value == actual
         self._conf[index] = (
-            self.fpc.advance(int(self._conf[index]))
+            self.fpc.advance(self._conf[index])
             if correct
             else self.fpc.reset_level()
         )
         self._last[index] = actual
         if self._inflight[index] == 0:
             self._spec_dirty.discard(index)
-
-    # -- batched sweeps -------------------------------------------------------
-
-    @classmethod
-    def batch_step(
-        cls,
-        bank,
-        fpcs,
-        pc: int,
-        uop_index: int,
-        actual: int,
-        tag_bits: int = 5,
-        stride_bits: int = 64,
-    ) -> list[Prediction | None]:
-        """One predict-then-train step across every variant of a stacked bank.
-
-        Transcribes the atomic ``predict`` + ``train`` pair on a
-        variant-stacked :func:`make_bank(..., variants=N)` over
-        :data:`TABLE_FIELDS` — bit-identical to N independent predictors
-        from any starting state (entries claimed mid-flight, nonzero
-        ``inflight`` counts).  ``fpcs`` holds one per-variant
-        :class:`FPCPolicy`; returns the pre-train per-variant prediction.
-
-        The speculative-dirty bookkeeping of the scalar path is instance
-        state, not bank state: a matched predict/train pair leaves it
-        net-unchanged, so the atomic step needs none.
-
-        Python backend: authoritative loop over ``view(v)``.  Numpy
-        backend: the tag compare and miss-claim writes are vector
-        expressions over the stacked ``col()`` rows; the signed-stride
-        arithmetic stays per-variant in python ints (mixing ``uint64``
-        last values with ``int64`` strides would promote to ``float64``
-        and corrupt 64-bit values), as do the RNG-coupled FPC draws.
-        """
-        if bank.variants is None:
-            raise ValueError("batch_step needs a variant-stacked bank")
-        key = mix_pc(pc, uop_index)
-        index_bits = bank.entries.bit_length() - 1
-        index = table_index(key, index_bits)
-        tag = (key >> index_bits) & mask(tag_bits)
-        preds: list[Prediction | None] = []
-        if bank.backend != "numpy":
-            for v in range(bank.variants):
-                view = bank.view(v)
-                t_col = view.col("tag")
-                valid = view.col("valid")
-                last = view.col("last")
-                s1 = view.col("stride1")
-                s2 = view.col("stride2")
-                conf = view.col("conf")
-                infl = view.col("inflight")
-                fpc = fpcs[v]
-                # -- predict --
-                if t_col[index] != tag:
-                    t_col[index] = tag
-                    valid[index] = 0
-                    s1[index] = 0
-                    s2[index] = 0
-                    conf[index] = 0
-                    infl[index] = 1
-                    pred = None
-                else:
-                    infl[index] += 1
-                    if not valid[index]:
-                        pred = None
-                    else:
-                        stride = int(s2[index] if cls.two_delta else s1[index])
-                        value = to_unsigned(
-                            int(last[index]) + stride * int(infl[index]), 64
-                        )
-                        pred = Prediction(
-                            value, fpc.is_confident(int(conf[index]))
-                        )
-                preds.append(pred)
-                # -- train (tag matches by construction after predict) --
-                if infl[index] > 0:
-                    infl[index] -= 1
-                if not valid[index]:
-                    valid[index] = 1
-                    last[index] = actual
-                    continue
-                observed = to_signed(actual - int(last[index]), stride_bits)
-                if cls.two_delta:
-                    if observed == s1[index]:
-                        s2[index] = observed
-                    s1[index] = observed
-                else:
-                    s1[index] = observed
-                correct = pred is not None and pred.value == actual
-                conf[index] = (
-                    fpc.advance(int(conf[index]))
-                    if correct
-                    else fpc.reset_level()
-                )
-                last[index] = actual
-            return preds
-        t_col = bank.col("tag")[:, index]
-        valid = bank.col("valid")[:, index]
-        last = bank.col("last")[:, index]
-        s1 = bank.col("stride1")[:, index]
-        s2 = bank.col("stride2")[:, index]
-        conf = bank.col("conf")[:, index]
-        infl = bank.col("inflight")[:, index]
-        # -- predict: vectorized miss-claim, then counted in-flight hits --
-        hit = t_col == tag
-        miss = ~hit
-        t_col[miss] = tag
-        valid[miss] = 0
-        s1[miss] = 0
-        s2[miss] = 0
-        conf[miss] = 0
-        infl[miss] = 1
-        infl[hit] += 1
-        predictable = hit & (valid != 0)
-        for v in range(bank.variants):
-            if not predictable[v]:
-                preds.append(None)
-                continue
-            stride = int(s2[v] if cls.two_delta else s1[v])
-            value = to_unsigned(int(last[v]) + stride * int(infl[v]), 64)
-            preds.append(
-                Prediction(value, fpcs[v].is_confident(int(conf[v])))
-            )
-        # -- train --
-        infl[infl > 0] -= 1
-        first_commit = valid == 0
-        valid[first_commit] = 1
-        last[first_commit] = actual
-        for v in (~first_commit).nonzero()[0]:
-            observed = to_signed(actual - int(last[v]), stride_bits)
-            if cls.two_delta:
-                if observed == s1[v]:
-                    s2[v] = observed
-                s1[v] = observed
-            else:
-                s1[v] = observed
-            pred = preds[v]
-            correct = pred is not None and pred.value == actual
-            conf[v] = (
-                fpcs[v].advance(int(conf[v]))
-                if correct
-                else fpcs[v].reset_level()
-            )
-            last[v] = actual
-        return preds
 
     def squash(self, surviving: dict[tuple[int, int], int] | None = None) -> None:
         """Pipeline flush: restore in-flight counts from the checkpoint.

@@ -72,6 +72,7 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 SOURCES = ("cache", "computed", "inflight")
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
+_LENGTH_RE = re.compile(r"[0-9]+")
 
 
 class ProtocolError(ValueError):
@@ -104,6 +105,45 @@ def _check_version(doc: dict, kind: str) -> None:
             f"{kind}: protocol version {v!r} not supported "
             f"(this build speaks v{PROTOCOL_VERSION})"
         )
+
+
+async def read_head_line(reader) -> bytes:
+    """One line of a request head from an ``asyncio.StreamReader``; a
+    line past the reader's buffer limit is a :class:`ProtocolError`."""
+    try:
+        return await reader.readline()
+    except ValueError:  # StreamReader.readline's limit overrun
+        raise ProtocolError("request head line too long") from None
+
+
+def parse_request_line(line: bytes) -> tuple[str, str]:
+    """``(method, path)`` of an HTTP/1.1 request line.
+
+    Shared by every server on this protocol: anything but three ASCII
+    tokens is a :class:`ProtocolError` (400), answered, never dropped.
+    """
+    try:
+        method, path, _version = line.decode("ascii").split()
+    except ValueError:  # wrong token count, or a non-ASCII byte
+        raise ProtocolError(f"malformed request line: {line[:80]!r}") from None
+    return method, path
+
+
+def parse_content_length(headers: dict[str, str]) -> int:
+    """The request body length from lower-cased ``headers``: 0 when the
+    header is absent, otherwise a decimal digit string of at most
+    :data:`MAX_BODY_BYTES` (413 beyond it: the body is never read, so
+    the connection cannot be reused)."""
+    value = headers.get("content-length")
+    if value is None:
+        return 0
+    if not _LENGTH_RE.fullmatch(value):
+        raise ProtocolError(f"malformed Content-Length: {value[:40]!r}")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        raise ProtocolError(f"request body exceeds {MAX_BODY_BYTES} bytes",
+                            status=413)
+    return length
 
 
 def parse_json(raw: bytes, kind: str = "request") -> dict:

@@ -313,7 +313,16 @@ class SweepServer:
         self._connections[task] = writer
         try:
             while not self._closing:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except protocol.ProtocolError as exc:
+                    # A malformed head leaves the stream unframed:
+                    # answer, then close.
+                    self._count_error(exc.status)
+                    await self._send_json(writer, exc.status,
+                                          protocol.encode_error(exc.status,
+                                                                str(exc)))
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -339,25 +348,21 @@ class SweepServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        """One HTTP/1.1 request: (method, path, headers, body), or None."""
-        line = await reader.readline()
+        """One HTTP/1.1 request: (method, path, headers, body), or None
+        at EOF; a malformed head raises :class:`protocol.ProtocolError`."""
+        line = await protocol.read_head_line(reader)
         if not line:
             return None
-        try:
-            method, path, _version = line.decode("ascii").split()
-        except ValueError:
-            return None
+        method, path = protocol.parse_request_line(line)
         headers: dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await protocol.read_head_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             key, _, value = raw.decode("latin-1").partition(":")
             if len(headers) < 100:
                 headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length > protocol.MAX_BODY_BYTES:
-            return method, path, headers, b"\x00" * (protocol.MAX_BODY_BYTES + 1)
+        length = protocol.parse_content_length(headers)
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 
@@ -501,8 +506,6 @@ class SweepServer:
             self._subscribers.discard(sub)
 
     def _health_doc(self) -> dict:
-        from repro.common.tables import available_backends
-
         return {
             "v": protocol.PROTOCOL_VERSION,
             "ok": True,
@@ -510,9 +513,6 @@ class SweepServer:
             "inflight": len(self._inflight),
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "jobs": self.scheduler.jobs,
-            # Storage backends *this server* can execute jobs on; clients
-            # may submit any KNOWN_BACKENDS value regardless.
-            "table_backends": list(available_backends()),
         }
 
     def _metrics_doc(self) -> dict:

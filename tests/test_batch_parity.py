@@ -26,17 +26,10 @@ from repro.batch import (
     run_batched_group,
 )
 from repro.bebop import BlockDVTAGEConfig, RecoveryPolicy
-from repro.common.tables import numpy_available, use_table_backend
 from repro.exec.jobs import baseline_job, bebop_job, run_job
 
 _GOLDEN_PATH = Path(__file__).parent / "data" / "golden_stats.json"
 _GOLDEN = json.loads(_GOLDEN_PATH.read_text())
-
-BACKENDS = [
-    "python",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not numpy_available(), reason="numpy backend not installed")),
-]
 
 _UOPS = 12_000
 _WARMUP = 4_000
@@ -193,24 +186,19 @@ def test_batch_eligibility_gates():
         obs.disable()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "key", [k for k in sorted(_GOLDEN["runs"]) if k.endswith("eole-bebop")]
 )
-def test_golden_eole_bebop_through_batched_path(key, backend):
+def test_golden_eole_bebop_through_batched_path(key):
     """The golden records reproduce through the batched path.
 
     The serial half of this equality is enforced by
     ``tests/test_golden_identity.py``; together they pin
-    batched == serial == golden for the BeBoP cells.  Parametrized over
-    storage backends because JobSpec digests exclude the backend: a
-    batched result must be valid for either cache cell.
+    batched == serial == golden for the BeBoP cells.
     """
     workload, _config = key.split("/")
-    with use_table_backend(backend):
-        spec = bebop_job(workload, uops=_GOLDEN["uops"],
-                         warmup=_GOLDEN["warmup"])
-        got = dataclasses.asdict(run_batched_group([spec])[0])
+    spec = bebop_job(workload, uops=_GOLDEN["uops"], warmup=_GOLDEN["warmup"])
+    got = dataclasses.asdict(run_batched_group([spec])[0])
     assert got == _GOLDEN["runs"][key], (
-        f"{key} [{backend}]: batched walk diverged from the golden record"
+        f"{key}: batched walk diverged from the golden record"
     )

@@ -9,12 +9,6 @@ stay bit-for-bit identical.  Any intentional model change that legitimately
 shifts these numbers must regenerate the golden file and say why in the
 commit message.
 
-The suite is parametrized over every available
-:mod:`repro.common.tables` storage backend: the columnar python lists and
-the numpy arrays must reproduce the same golden statistics bit for bit —
-that equality is the contract that makes the backend a pure performance
-knob (and lets the result cache ignore it).
-
 Regenerate with::
 
     PYTHONPATH=src python examples/capture_golden_stats.py
@@ -35,17 +29,10 @@ from repro.eval.runner import (
     run_eole_instr_vp,
     run_instr_vp,
 )
-from repro.common.tables import numpy_available, use_table_backend
 from repro.predictors.perpath import PerPathStridePredictor
 
 _GOLDEN_PATH = Path(__file__).parent / "data" / "golden_stats.json"
 _GOLDEN = json.loads(_GOLDEN_PATH.read_text())
-
-BACKENDS = [
-    "python",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not numpy_available(), reason="numpy backend not installed")),
-]
 
 
 def _run(key: str):
@@ -69,13 +56,11 @@ def _run(key: str):
     raise ValueError(f"unknown golden config {config!r}")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("key", sorted(_GOLDEN["runs"]))
-def test_stats_bit_identical_to_golden(key, backend):
-    with use_table_backend(backend):
-        got = dataclasses.asdict(_run(key))
+def test_stats_bit_identical_to_golden(key):
+    got = dataclasses.asdict(_run(key))
     want = _GOLDEN["runs"][key]
     assert got == want, (
-        f"{key} [{backend}]: simulation statistics diverged from the golden "
-        "record — optimisations and table backends must be bit-identical"
+        f"{key}: simulation statistics diverged from the golden record — "
+        "optimisations must be bit-identical"
     )

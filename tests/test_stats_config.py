@@ -145,22 +145,43 @@ class TestExtraIsGone:
     def test_no_production_code_references_extra(self):
         """No module under ``src/repro`` may reference ``.extra`` at all
         (grep-style, so a reintroduction fails loudly)."""
-        import re
-        from pathlib import Path
-
-        import repro
-
-        src_root = Path(repro.__file__).resolve().parent
-        pattern = re.compile(r"\.extra\b")
-        offenders = []
-        for path in sorted(src_root.rglob("*.py")):
-            rel = path.relative_to(src_root).as_posix()
-            for lineno, line in enumerate(
-                path.read_text().splitlines(), start=1
-            ):
-                if pattern.search(line):
-                    offenders.append(f"{rel}:{lineno}: {line.strip()}")
+        offenders = _scan_sources(r"\.extra\b")
         assert not offenders, (
             "production code must not reference SimStats.extra:\n"
             + "\n".join(offenders)
         )
+
+
+class TestTableBackendIsGone:
+    def test_no_production_code_references_table_backend(self):
+        """Predictor tables have one storage path (python-list
+        ``TableBank`` columns): no module under ``src/repro`` may import
+        numpy or bring back the backend knob, the variant-stacked banks
+        or their ``batch_step`` walks."""
+        offenders = _scan_sources(
+            r"^\s*(?:import|from)\s+numpy\b|table_backend"
+            r"|REPRO_TABLE_BACKEND|batch_step|Stacked"
+        )
+        assert not offenders, (
+            "production code must not reintroduce a second table "
+            "storage backend:\n" + "\n".join(offenders)
+        )
+
+
+def _scan_sources(regex: str) -> list[str]:
+    """``path:line: text`` of every line under ``src/repro`` matching
+    ``regex`` (grep-style)."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    src_root = Path(repro.__file__).resolve().parent
+    pattern = re.compile(regex)
+    offenders = []
+    for path in sorted(src_root.rglob("*.py")):
+        rel = path.relative_to(src_root).as_posix()
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            if pattern.search(line):
+                offenders.append(f"{rel}:{lineno}: {line.strip()}")
+    return offenders
